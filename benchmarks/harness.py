@@ -11,7 +11,10 @@ Scale knobs live here so all benchmarks stay consistent.
 
 from __future__ import annotations
 
+import gc
 import os
+import time
+from collections.abc import Callable
 
 from repro.hardware import IdealBackend, NoisyBackend
 from repro.pruning import PruningHyperparams
@@ -33,6 +36,33 @@ def smoke_mode() -> bool:
 def smoke_scaled(full: int, smoke: int) -> int:
     """Pick a size knob depending on :func:`smoke_mode`."""
     return smoke if smoke_mode() else full
+
+
+def interleaved_best_of(
+    sweeps: dict[str, Callable[[], object]], rounds: int
+) -> dict[str, tuple[float, object]]:
+    """Best wall time and last result of each sweep, rounds interleaved.
+
+    Every sweep first runs once untimed, so each compiles its plans
+    into its own (fresh) backend cache before timing starts.  The
+    sweeps then alternate round by round, so a burst of load on a
+    shared host lands on both sides of a speed-up ratio rather than on
+    one, and garbage collection is paused while a round is timed.
+    """
+    last = {name: sweep() for name, sweep in sweeps.items()}
+    best = dict.fromkeys(sweeps, float("inf"))
+    for _ in range(rounds):
+        for name, sweep in sweeps.items():
+            gc.collect()
+            gc.disable()
+            try:
+                start = time.perf_counter()
+                last[name] = sweep()
+                elapsed = time.perf_counter() - start
+            finally:
+                gc.enable()
+            best[name] = min(best[name], elapsed)
+    return {name: (best[name], last[name]) for name in sweeps}
 
 # --- benchmark scale (paper-scale values in comments) -----------------------
 

@@ -17,11 +17,9 @@ bit-identical to running each circuit as a batch of one.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
-from harness import format_table, smoke_scaled
+from harness import format_table, interleaved_best_of, smoke_scaled
 from repro.circuits import QuantumCircuit
 from repro.circuits.layers import build_layered_ansatz
 from repro.gradients.adjoint_engine import (
@@ -35,7 +33,7 @@ from repro.sim.adjoint import adjoint_expectation_and_jacobian_batch
 LAYERS = ["ry", "rzz", "rz", "cz"] * 4  # 16 layers
 N_EXAMPLES = 4
 IDEAL_QUBITS = 10
-ROUNDS = smoke_scaled(3, 2)
+ROUNDS = smoke_scaled(5, 2)
 TARGET_SPEEDUP = 5.0
 
 
@@ -53,43 +51,35 @@ def build_sweep_circuits(n_qubits: int) -> list[QuantumCircuit]:
     return circuits
 
 
-def best_of(rounds: int, sweep) -> tuple[float, object]:
-    result = None
-    best = np.inf
-    for _ in range(rounds):
-        start = time.perf_counter()
-        result = sweep()
-        best = min(best, time.perf_counter() - start)
-    return best, result
-
-
 def test_adjoint_wide_parameter_sweep_speedup(benchmark):
     circuits = build_sweep_circuits(IDEAL_QUBITS)
     n_params = circuits[0].num_parameters
     param_indices = tuple(range(n_params))
 
     def run() -> float:
+        # Fresh backends, so both sides start from empty plan caches.
         shift_backend = IdealBackend(exact=True, fused=True)
         adjoint_backend = IdealBackend(exact=True, fused=True)
 
-        shift_s, shift_jacs = best_of(
+        timings = interleaved_best_of(
+            {
+                "shift": lambda: parameter_shift_jacobian_batch(
+                    circuits, shift_backend, param_indices=param_indices
+                ),
+                "adjoint": lambda: adjoint_engine_jacobian_batch(
+                    circuits, adjoint_backend, param_indices=param_indices
+                ),
+            },
             ROUNDS,
-            lambda: parameter_shift_jacobian_batch(
-                circuits, shift_backend, param_indices=param_indices
-            ),
         )
-        adjoint_s, adjoint_jacs = best_of(
-            ROUNDS,
-            lambda: adjoint_engine_jacobian_batch(
-                circuits, adjoint_backend, param_indices=param_indices
-            ),
-        )
+        shift_s, shift_jacs = timings["shift"]
+        adjoint_s, adjoint_jacs = timings["adjoint"]
 
         for adjoint_jac, shift_jac in zip(adjoint_jacs, shift_jacs):
             assert np.max(np.abs(adjoint_jac - shift_jac)) <= 1e-8
 
         n_clones = N_EXAMPLES * n_params * 2
-        assert shift_backend.meter.circuits == ROUNDS * n_clones
+        assert shift_backend.meter.circuits == (ROUNDS + 1) * n_clones
         speedup = shift_s / adjoint_s
         print()
         print(format_table(

@@ -21,11 +21,9 @@ unfused and sampled counts deterministic per seed.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
-from harness import format_table, smoke_scaled
+from harness import format_table, interleaved_best_of, smoke_scaled
 from repro.circuits import QuantumCircuit
 from repro.circuits.layers import build_layered_ansatz
 from repro.gradients.parameter_shift import parameter_shift_jacobian_batch
@@ -38,7 +36,7 @@ IDEAL_QUBITS = 10
 NOISY_QUBITS = 4
 DEVICE = "ibmq_lima"
 SHOTS = 1024
-ROUNDS = smoke_scaled(3, 2)
+ROUNDS = smoke_scaled(5, 2)
 TARGET_SPEEDUP = 2.0
 
 
@@ -56,24 +54,26 @@ def build_sweep_circuits(n_qubits: int) -> list[QuantumCircuit]:
     return circuits
 
 
-def time_sweep(backend, circuits, **kwargs) -> tuple[float, int]:
-    """Best-of-ROUNDS wall time of one parameter-shift sweep."""
-    best = np.inf
-    for _ in range(ROUNDS):
-        start = time.perf_counter()
-        parameter_shift_jacobian_batch(
-            circuits, backend, param_indices=PARAM_INDICES, **kwargs
-        )
-        best = min(best, time.perf_counter() - start)
-    return best, backend.meter.circuits
-
-
 def run_pair(make_backend, circuits, label, **kwargs) -> float:
-    unfused_backend = make_backend(False)
-    fused_backend = make_backend(True)
-    unfused_s, n_unfused = time_sweep(unfused_backend, circuits, **kwargs)
-    fused_s, n_fused = time_sweep(fused_backend, circuits, **kwargs)
-    assert n_unfused == n_fused == ROUNDS * N_EXAMPLES * 8 * 2
+    """Speed-up of fused over unfused, best-of-ROUNDS interleaved.
+
+    Both backends are built here, so both start from empty plan
+    caches; see :func:`harness.interleaved_best_of` for the timing.
+    """
+    backends = {fused: make_backend(fused) for fused in (False, True)}
+    timings = interleaved_best_of(
+        {
+            fused: lambda backend=backend: parameter_shift_jacobian_batch(
+                circuits, backend, param_indices=PARAM_INDICES, **kwargs
+            )
+            for fused, backend in backends.items()
+        },
+        ROUNDS,
+    )
+    unfused_s, fused_s = timings[False][0], timings[True][0]
+    for backend in backends.values():
+        assert backend.meter.circuits == (ROUNDS + 1) * N_EXAMPLES * 8 * 2
+    fused_backend = backends[True]
 
     n_circuits = N_EXAMPLES * 8 * 2
     speedup = unfused_s / fused_s

@@ -35,7 +35,12 @@ Subpackages
 ``repro.cli``        ``python -m repro`` command line
 """
 
-from repro.circuits import QnnArchitecture, QuantumCircuit, get_architecture
+from repro.circuits import (
+    InvalidCircuitError,
+    QnnArchitecture,
+    QuantumCircuit,
+    get_architecture,
+)
 from repro.data import Dataset, load_task
 from repro.gradients import parameter_shift_jacobian
 from repro.hardware import IdealBackend, NoisyBackend, QuantumProvider
@@ -58,6 +63,7 @@ __all__ = [
     "FaultPlan",
     "GradientPruner",
     "IdealBackend",
+    "InvalidCircuitError",
     "NoiseModel",
     "NoisyBackend",
     "PruningHyperparams",

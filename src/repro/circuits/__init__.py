@@ -11,7 +11,7 @@ from repro.circuits.ansatz import (
     get_architecture,
 )
 from repro.circuits.batch import CircuitBatch, group_by_structure
-from repro.circuits.circuit import QuantumCircuit
+from repro.circuits.circuit import InvalidCircuitError, QuantumCircuit
 from repro.circuits.drawer import draw
 from repro.circuits.fingerprint import circuit_fingerprint
 from repro.circuits.encoders import (
@@ -43,6 +43,7 @@ __all__ = [
     "CX_COST",
     "CircuitBatch",
     "ENCODERS",
+    "InvalidCircuitError",
     "LAYER_BUILDERS",
     "OpTemplate",
     "QnnArchitecture",

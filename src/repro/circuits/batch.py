@@ -21,7 +21,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.circuits.circuit import QuantumCircuit
+from repro.circuits.circuit import InvalidCircuitError, QuantumCircuit
 
 
 class CircuitBatch:
@@ -30,6 +30,9 @@ class CircuitBatch:
     Args:
         circuits: Non-empty sequence of :class:`QuantumCircuit` objects
             that all share one :meth:`~QuantumCircuit.structure_signature`.
+
+    The batch is also a sequence of its circuits: ``len``, iteration
+    and indexing see ``circuits``.
 
     Attributes:
         circuits: The wrapped circuits, in the order given.
@@ -62,6 +65,7 @@ class CircuitBatch:
         # simulator then builds one gate matrix instead of B).
         self._op_params: list[np.ndarray | None] = []
         self._op_uniform: list[bool] = []
+        self._multi: list[int] = []
         self._stack_angles()
 
     def _stack_angles(self) -> None:
@@ -112,6 +116,7 @@ class CircuitBatch:
             thetas = np.stack([c._parameters for c in self.circuits])
             indices = [templates[pos].param_index for pos in trainable]
             base[:, trainable] += thetas[:, indices]
+        self._base = base
         uniform = np.all(base == base[0:1], axis=0)
         for pos, template in enumerate(templates):
             # Parameterless op: no literal params and no trainable slot.
@@ -126,11 +131,37 @@ class CircuitBatch:
                 )
                 self._op_params.append(values)
                 self._op_uniform.append(bool(np.all(values == values[0])))
+                self._multi.append(pos)
                 continue
             self._op_params.append(base[:, pos : pos + 1])
             self._op_uniform.append(bool(uniform[pos]))
 
     # -- queries ---------------------------------------------------------
+
+    def check_finite(self) -> None:
+        """Reject NaN and infinite angles before anything executes.
+
+        One ``np.isfinite`` pass over the stacked ``(B, n_ops)`` angle
+        matrix covers every single-parameter op of every circuit (plus
+        one per multi-parameter op); a bad angle would otherwise turn
+        into NaN expectations, or an untyped NumPy error from the
+        sampler.
+
+        Raises:
+            InvalidCircuitError: naming the first offending circuit and
+                operation.
+        """
+        finite = np.isfinite(self._base)
+        for pos in self._multi:
+            finite[:, pos] = np.isfinite(self._op_params[pos]).all(axis=1)
+        if finite.all():
+            return
+        row, pos = np.argwhere(~finite)[0]
+        raise InvalidCircuitError(
+            f"non-finite angle {self._op_params[pos][row].tolist()} at "
+            f"operation {pos} ({self.templates[pos].name}) of batch row "
+            f"{row}"
+        )
 
     def num_operations(self) -> int:
         """Gate count of the common structure."""
@@ -142,6 +173,20 @@ class CircuitBatch:
         ``None`` for parameterless gates.
         """
         return self._op_params[position]
+
+    def stacked_params(self, positions: Sequence[int]) -> np.ndarray:
+        """``(B, K)`` angles of the ops at ``positions``, side by side.
+
+        Each op contributes its ``num_params`` columns, in the order
+        given; parameterless positions must not be listed.  One gather
+        from the stacked angle matrix unless the batch has
+        multi-parameter ops.
+        """
+        if self._multi:
+            return np.concatenate(
+                [self._op_params[p] for p in positions], axis=1
+            )
+        return self._base[:, positions]
 
     def op_is_uniform(self, position: int) -> bool:
         """True when op ``position`` has one angle tuple batch-wide."""
@@ -163,6 +208,12 @@ class CircuitBatch:
 
     def __len__(self) -> int:
         return self.size
+
+    def __iter__(self):
+        return iter(self.circuits)
+
+    def __getitem__(self, index):
+        return self.circuits[index]
 
     def __repr__(self) -> str:
         return (

@@ -10,6 +10,7 @@ same structure.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from collections.abc import Iterable, Sequence
 
@@ -18,6 +19,17 @@ import numpy as np
 from repro.circuits import fingerprint as _fingerprint
 from repro.circuits.operation import BoundOp, OpTemplate
 from repro.sim import gates as _gates
+
+
+class InvalidCircuitError(ValueError):
+    """A circuit no backend can run, whatever the attempt.
+
+    Raised at the execution boundary for a wire out of range, an unused
+    or out-of-range parameter slot, or a NaN / infinite angle.  The
+    failure is deterministic, so it is not a
+    :class:`~repro.resilience.TransientError`: retry policies never
+    retry it, and the serving tier fails just the job that carried it.
+    """
 
 
 class QuantumCircuit:
@@ -303,30 +315,46 @@ class QuantumCircuit:
         ]
 
     def validate(self) -> None:
-        """Check structural invariants; raises ``ValueError`` on problems.
+        """Check invariants; raises :class:`InvalidCircuitError`.
 
         Mirrors the "created, validated, queued" pipeline of Sec. 3.2's
         TrainingEngine: backends validate circuits before execution.
+        Besides the structure, every resolved angle must be finite —
+        a NaN or infinite angle would otherwise surface as NaN
+        expectations, or as an untyped NumPy error from the sampler.
         """
         used = set()
+        # Sum of every angle's ingredients: finite exactly when all are
+        # (barring overflow, which the exact scan below then clears).
+        total = float(self._parameters.sum())
         for template in self._templates:
+            total += template.offset
+            for value in template.params:
+                total += value
             _gates.get_gate(template.name)  # raises on unknown gates
             for wire in template.wires:
                 if not 0 <= wire < self.n_qubits:
-                    raise ValueError(
+                    raise InvalidCircuitError(
                         f"wire {wire} out of range in {template}"
                     )
             if template.param_index is not None:
                 if template.param_index >= self.num_parameters:
-                    raise ValueError(
+                    raise InvalidCircuitError(
                         f"param index {template.param_index} out of range"
                     )
                 used.add(template.param_index)
         missing = set(range(self.num_parameters)) - used
         if missing:
-            raise ValueError(
+            raise InvalidCircuitError(
                 f"parameters {sorted(missing)} are never used by any gate"
             )
+        if not math.isfinite(total):
+            for position, op in enumerate(self.operations):
+                if not all(math.isfinite(value) for value in op.params):
+                    raise InvalidCircuitError(
+                        f"non-finite angle {list(op.params)} at "
+                        f"operation {position} ({op.name})"
+                    )
 
     # -- pretty printing --------------------------------------------------
 

@@ -244,16 +244,19 @@ class Backend(abc.ABC):
     def _execute(self, circuit, shots: int) -> ExecutionResult:
         """Run a single circuit (implemented by subclasses)."""
 
-    def _execute_batch(self, circuits: Sequence, shots: int) -> list[ExecutionResult]:
+    def _execute_batch(
+        self, batch: CircuitBatch, shots: int
+    ) -> list[ExecutionResult]:
         """Run several *same-structure* circuits; override to vectorize.
 
-        :meth:`run` only calls this with circuits sharing one
-        :meth:`~repro.circuits.QuantumCircuit.structure_signature`, in
-        submission order within the group.  The default falls back to
-        per-circuit :meth:`_execute`, so subclasses keep working
-        unchanged until they opt in.
+        :meth:`run` only calls this with a :class:`~repro.circuits.
+        CircuitBatch` of circuits sharing one :meth:`~repro.circuits.
+        QuantumCircuit.structure_signature`, in submission order within
+        the group; the batch is also a sequence of those circuits.  The
+        default falls back to per-circuit :meth:`_execute`, so
+        subclasses keep working unchanged until they opt in.
         """
-        return [self._execute(circuit, shots) for circuit in circuits]
+        return [self._execute(circuit, shots) for circuit in batch]
 
     def supports_batching(self) -> bool:
         """Whether :meth:`run` should use the structure-grouped fast path.
@@ -326,6 +329,14 @@ class Backend(abc.ABC):
         count and report ``shots=0`` results anyway, so rejecting an
         explicit 0 was a contradiction.  Sampling backends still reject
         any ``shots < 1``.
+
+        Validation also rejects NaN and infinite angles, raising
+        :class:`~repro.circuits.InvalidCircuitError` (as every
+        validation failure does) before any circuit of the submission
+        runs, so nothing is sampled or metered.  On the batched path
+        the angles are checked by one ``np.isfinite`` pass per
+        structure group, over the angle matrix the group's
+        :class:`~repro.circuits.CircuitBatch` stacks anyway.
         """
         if shots < 0 or (shots == 0 and not self.exact_execution()):
             raise ValueError(
@@ -334,9 +345,9 @@ class Backend(abc.ABC):
             )
         circuits = list(circuits)
         if self.supports_batching() and len(circuits) > 1:
-            groups = group_by_structure(circuits)
-            if validate:
-                for _, members in groups:
+            batches = []
+            for positions, members in group_by_structure(circuits):
+                if validate:
                     representative = members[0]
                     representative.validate()
                     for member in members[1:]:
@@ -349,18 +360,22 @@ class Backend(abc.ABC):
                             != representative.num_parameters
                         ):
                             member.validate()
+                batch = CircuitBatch(members)
+                if validate:
+                    batch.check_finite()
+                batches.append((positions, batch))
             results: list[ExecutionResult | None] = [None] * len(circuits)
-            for positions, members in groups:
+            for positions, batch in batches:
                 if _faults.ACTIVE is not None:
                     _faults.ACTIVE.fire(
                         _faults.SITE_EXECUTE_BATCH, backend=self.name
                     )
-                group_results = self._execute_batch(members, shots)
-                if len(group_results) != len(members):
+                group_results = self._execute_batch(batch, shots)
+                if len(group_results) != len(batch):
                     raise RuntimeError(
                         f"{type(self).__name__}._execute_batch returned "
                         f"{len(group_results)} results for "
-                        f"{len(members)} circuits"
+                        f"{len(batch)} circuits"
                     )
                 for position, result in zip(positions, group_results):
                     results[position] = result
@@ -495,10 +510,9 @@ class IdealBackend(Backend):
             counts=counts, expectations=expectations, shots=shots
         )
 
-    def _execute_batch(self, circuits, shots: int) -> list[ExecutionResult]:
-        batch = CircuitBatch(circuits)
+    def _execute_batch(self, batch, shots: int) -> list[ExecutionResult]:
         state = BatchedStatevector(batch.n_qubits, batch.size).evolve(
-            batch, plan=self._plan_for(circuits[0])
+            batch, plan=self._plan_for(batch[0])
         )
         if self.exact:
             expectations = state.expectation_z()

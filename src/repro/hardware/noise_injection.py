@@ -95,11 +95,11 @@ class NoiseInjectionBackend(Backend):
     def _execute(self, circuit, shots: int) -> ExecutionResult:
         return self._perturb(self.inner._execute(circuit, shots))
 
-    def _execute_batch(self, circuits, shots: int) -> list[ExecutionResult]:
+    def _execute_batch(self, batch, shots: int) -> list[ExecutionResult]:
         """Batch through the inner backend, then jitter in batch order."""
         return [
             self._perturb(result)
-            for result in self.inner._execute_batch(circuits, shots)
+            for result in self.inner._execute_batch(batch, shots)
         ]
 
     def supports_batching(self) -> bool:

@@ -209,12 +209,15 @@ class NoisyBackend(Backend):
         Args:
             circuits: Non-empty sequence sharing one logical
                 :meth:`~repro.circuits.QuantumCircuit.
-                structure_signature`.
+                structure_signature`.  A :class:`~repro.circuits.
+                CircuitBatch` is evolved as it stands when it is also
+                the physical batch (no transpilation changed a circuit).
 
         Returns:
             ``(len(circuits), 2^n_logical)`` observed distributions, in
             submission order.
         """
+        given = circuits if isinstance(circuits, CircuitBatch) else None
         circuits = list(circuits)
         if not circuits:
             raise ValueError("need at least one circuit")
@@ -230,7 +233,10 @@ class NoisyBackend(Backend):
         for indices in groups.values():
             physicals = [prepared[i][0] for i in indices]
             layout = prepared[indices[0]][1]
-            batch = CircuitBatch(physicals)
+            if given is not None and physicals == given.circuits:
+                batch = given
+            else:
+                batch = CircuitBatch(physicals)
             rho = BatchedDensityMatrix(batch.n_qubits, batch.size)
             rho.evolve(
                 batch,
@@ -263,7 +269,7 @@ class NoisyBackend(Backend):
             counts=counts, expectations=expectations, shots=shots
         )
 
-    def _execute_batch(self, circuits, shots: int) -> list[ExecutionResult]:
+    def _execute_batch(self, batch, shots: int) -> list[ExecutionResult]:
         """Vectorized noisy execution of one same-structure group.
 
         One batched density evolution, then a single vectorized
@@ -272,7 +278,7 @@ class NoisyBackend(Backend):
         single-structure submission samples bit-identically to the
         sequential loop.
         """
-        probs = self.observed_probabilities_batch(circuits)
+        probs = self.observed_probabilities_batch(batch)
         outcomes = _measurement.sample_outcome_matrix(
             probs, shots, self._rng
         )

@@ -29,9 +29,11 @@ mini-batch rows, serving flushes, worker-pool shards) then replays:
 * **Batch-wide matrix preparation** — parameterized gate matrices for
   the *whole plan* are built up front, one vectorized closed-form call
   per gate type (:func:`repro.sim.gates.batched_rotation` over every
-  occurrence x batch row at once), instead of one build per op per
-  call.  Steps then compose the prebuilt ``(B, d, d)`` stacks with
-  plain ``matmul`` and compile-time kron embeddings.
+  occurrence x row at once), instead of one build per op per call.
+  Steps then compose the prebuilt stacks with plain ``matmul`` and
+  compile-time kron embeddings — over each step's *distinct* angle
+  rows only, so parameter-shift clones share the blocks their shift
+  does not touch (see "Runtime matrix preparation" below).
 * **Noise segments** (density mode) — each gate's per-wire channel
   stack is precomposed into a single 4x4 superoperator at compile
   time, and — because a single-qubit unitary's conjugation is itself a
@@ -53,7 +55,8 @@ epoch or parameter-shift sweep compiles each structure exactly once.
 
 Numerical contract: fused execution matches the unfused per-gate path
 within ``1e-10`` on observed distributions and is deterministic (same
-plan, same inputs → same bits).  The bit-identical seed path stays
+plan, same inputs → same bits); every row of a batch is bit-identical
+to running its circuit as a batch of one.  The bit-identical seed path stays
 available via ``fused=False`` / ``REPRO_FUSED=0`` on the backends.
 """
 
@@ -128,10 +131,24 @@ class SingleCircuitParams:
 #
 # Parameterized ops are *prepared* once per plan execution: one
 # vectorized closed-form evaluation per (gate type, embedding) group
-# builds the matrices for every occurrence x batch row at once, already
-# lifted into the basis their step consumes them in (kron-embedded into
-# a 2-wire block, conjugation superoperator, bare diagonal, ...).
-# Steps then reduce to plain matmuls / gathers over prebuilt stacks.
+# builds the matrices for every occurrence at once, already lifted into
+# the basis their step consumes them in (kron-embedded into a 2-wire
+# block, conjugation superoperator, bare diagonal, ...).  Steps then
+# reduce to plain matmuls / gathers over prebuilt stacks.
+#
+# A batch rarely holds B *different* blocks: a parameter-shift clone
+# differs from its base circuit in one angle, so it repeats the base's
+# block in every step that does not contain the shifted gate, and a
+# forward batch repeats every block built from trainable angles alone.
+# Each parameterized step therefore keys its rows by the bytes of its
+# own angle columns (see ``_distinct_rows``); its ops are prepared and
+# its block composed only for the distinct rows, and one gather by the
+# inverse index expands the block back to all B rows right before it
+# is applied.  Equal angle bytes give equal matrices, so every row is
+# bit-identical to preparing all B rows.  The rows show when there is
+# nothing to share: distinct hashes prove distinct rows, so a batch
+# whose hashes never repeat is not grouped at all, a step whose rows
+# all differ prepares them as is, and a single row is never keyed.
 
 def _embed0(mats: np.ndarray) -> np.ndarray:
     # kron(U, I): the op acts on the block's first (most significant)
@@ -215,38 +232,33 @@ def _build_param_groups(steps: list) -> list[_ParamGroup]:
     return groups
 
 
-def _group_thetas(group: _ParamGroup, params) -> np.ndarray:
-    """Flat ``(len(positions) * B,)`` angles of one closed-form group."""
-    values = [params.op_params(p) for p in group.positions]
-    if len(values) == 1:
-        return values[0][:, 0]
-    return np.concatenate(values, axis=0)[:, 0]
+def _group_thetas(group: _ParamGroup, angles: list) -> np.ndarray:
+    """Flat angles of one closed-form group, position-major."""
+    return np.concatenate([angles[p] for p in group.positions])[:, 0]
 
 
-def _group_raw_matrices(group: _ParamGroup, params) -> np.ndarray:
-    """``(P, B, d, d)`` stacks for one group, one vectorized build.
+def _group_raw_matrices(group: _ParamGroup, angles: list) -> np.ndarray:
+    """Stacked ``(N, d, d)`` matrices of one group, position-major.
 
-    Closed-form rotations evaluate every occurrence x batch angle in a
+    Closed-form rotations evaluate every occurrence x row angle in a
     single :func:`~repro.sim.gates.batched_rotation` call; elementwise
     operation order matches the per-op build exactly, so each slice is
     bit-identical to what the unprepared path would construct.
     """
     if group.closed_form:
-        stacked = _gates.batched_rotation(
-            group.generator, _group_thetas(group, params)
+        return _gates.batched_rotation(
+            group.generator, _group_thetas(group, angles)
         )
-        dim = stacked.shape[-1]
-        return stacked.reshape(len(group.positions), -1, dim, dim)
-    return np.stack(
+    return np.concatenate(
         [
-            _gates.stacked_matrices(group.name, params.op_params(p))
+            _gates.stacked_matrices(group.name, angles[p])
             for p in group.positions
         ]
     )
 
 
-def _group_diagonals(group: _ParamGroup, params) -> np.ndarray:
-    """``(P, B, d)`` diagonals for a group of diagonal gates.
+def _group_diagonals(group: _ParamGroup, angles: list) -> np.ndarray:
+    """Stacked ``(N, d)`` diagonals for a group of diagonal gates.
 
     For closed-form rotations with a diagonal generator the diagonal is
     evaluated directly (``cos - i sin * g_ii`` — the same elementwise
@@ -255,32 +267,83 @@ def _group_diagonals(group: _ParamGroup, params) -> np.ndarray:
     diagonal of the full matrix).
     """
     if group.closed_form and _is_exact_diagonal(group.generator):
-        thetas = _group_thetas(group, params)
+        thetas = _group_thetas(group, angles)
         gdiag = np.diagonal(group.generator)
         cos = np.cos(thetas / 2.0)[:, None]
         sin = np.sin(thetas / 2.0)[:, None]
-        diag = cos * np.ones_like(gdiag) - 1j * sin * gdiag
-        return diag.reshape(len(group.positions), -1, gdiag.shape[0])
+        return cos * np.ones_like(gdiag) - 1j * sin * gdiag
     return np.diagonal(
-        _group_raw_matrices(group, params), axis1=-2, axis2=-1
+        _group_raw_matrices(group, angles), axis1=-2, axis2=-1
     )
 
 
 def _prepare_matrices(
-    groups: list[_ParamGroup], n_ops: int, params
+    groups: list[_ParamGroup], angles: list
 ) -> list[np.ndarray | None]:
-    """Per-position prepared arrays, embedded for their consuming step."""
-    matrices: list[np.ndarray | None] = [None] * n_ops
+    """Per-position prepared arrays, embedded for their consuming step.
+
+    ``angles[p]`` holds the ``(rows, num_params)`` angles op ``p`` is
+    prepared for — all B rows, or its step's distinct rows; each group
+    is built in one call over its positions' rows and split back.
+    """
+    matrices: list[np.ndarray | None] = [None] * len(angles)
     for group in groups:
         if group.embed == "diag":
-            prepared = _group_diagonals(group, params)
+            prepared = _group_diagonals(group, angles)
         else:
             prepared = _EMBEDDINGS[group.embed](
-                _group_raw_matrices(group, params)
+                _group_raw_matrices(group, angles)
             )
-        for index, position in enumerate(group.positions):
-            matrices[position] = prepared[index]
+        stop = 0
+        for position in group.positions:
+            start, stop = stop, stop + angles[position].shape[0]
+            matrices[position] = prepared[start:stop]
     return matrices
+
+
+def _row_weights(n_columns: int) -> np.ndarray:
+    """Odd 64-bit multipliers hashing an angle row's bytes.
+
+    Seeded, so a plan hashes the same way in every process; the hash
+    only groups rows, and every grouping is checked bytewise.
+    """
+    draws = np.random.default_rng(0x5EED).integers(
+        0, 2**63, size=n_columns, dtype=np.uint64
+    )
+    return draws * np.uint64(2) + np.uint64(1)
+
+
+def _distinct_rows(
+    keys: np.ndarray,
+    hashes: np.ndarray,
+    starts: np.ndarray,
+    column_steps: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group every keyed step's rows into bytewise-distinct runs.
+
+    ``keys`` is the ``(B, K)`` key matrix; the step ``k`` owning column
+    ``c`` is ``column_steps[c]``, its columns start at ``starts[k]``,
+    and ``hashes[:, k]`` are its row hashes.  Per step, rows are sorted
+    by hash and each run of neighbours with equal key bytes becomes one
+    distinct row.  Equal keys hash equally, so they sort next to each
+    other unless a different key with the same hash sits between them;
+    such a collision only costs sharing, never correctness, since a run
+    never spans unequal keys.
+
+    Returns:
+        ``(order, first, inverse)``, each ``(B, S)``: the hash order,
+        True where a sorted row opens a run, and every row's run index.
+        Step ``k``'s distinct rows are ``order[first[:, k], k]``.
+    """
+    order = hashes.argsort(axis=0, kind="stable")
+    ranked = keys[order[:, column_steps], np.arange(keys.shape[1])]
+    first = np.ones(hashes.shape, dtype=bool)
+    np.logical_or.reduceat(
+        ranked[1:] != ranked[:-1], starts, axis=1, out=first[1:]
+    )
+    inverse = np.empty_like(order)
+    inverse[order, np.arange(order.shape[1])] = first.cumsum(axis=0) - 1
+    return order, first, inverse
 
 
 def _embed_tag(axes: tuple[int, ...], block_k: int) -> str:
@@ -450,11 +513,14 @@ class ConstantStep:
     def param_ops(self):
         return []
 
-    def run_state(self, tensor, matrices):
-        return self._ket.apply(tensor, self.matrix)
+    def block(self, matrices):
+        return self.matrix
 
-    def run_density(self, tensor, matrices):
-        out = self._ket.apply(tensor, self.matrix)
+    def run_state(self, tensor, block):
+        return self._ket.apply(tensor, block)
+
+    def run_density(self, tensor, block):
+        out = self._ket.apply(tensor, block)
         return self._bra.apply(out, self._conj)
 
 
@@ -537,14 +603,13 @@ class FusedStep:
     def param_ops(self):
         return _factor_uses(self.factors)
 
-    def matrices(self, matrices: list) -> np.ndarray:
+    def block(self, matrices: list) -> np.ndarray:
         return _compose_factors(self.factors, matrices)
 
-    def run_state(self, tensor, matrices):
-        return self._ket.apply(tensor, self.matrices(matrices))
+    def run_state(self, tensor, block):
+        return self._ket.apply(tensor, block)
 
-    def run_density(self, tensor, matrices):
-        block = self.matrices(matrices)
+    def run_density(self, tensor, block):
         out = self._ket.apply(tensor, block)
         return self._bra.apply(out, block.conj())
 
@@ -589,20 +654,19 @@ class DiagStep:
     def param_ops(self):
         return [_ParamUse(op.name, op.position, "diag") for op in self.ops]
 
-    def diags(self, matrices: list) -> np.ndarray:
+    def block(self, matrices: list) -> np.ndarray:
         total = self.constant
         for op in self.ops:
             d = matrices[op.position][..., op.jmap]
             total = d if total is None else total * d
         return total
 
-    def run_state(self, tensor, matrices):
-        return tensor * self._ket.factor(self.diags(matrices))
+    def run_state(self, tensor, block):
+        return tensor * self._ket.factor(block)
 
-    def run_density(self, tensor, matrices):
-        diags = self.diags(matrices)
-        out = tensor * self._ket.factor(diags)
-        return out * self._bra.factor(diags.conj())
+    def run_density(self, tensor, block):
+        out = tensor * self._ket.factor(block)
+        return out * self._bra.factor(block.conj())
 
 
 @dataclasses.dataclass
@@ -628,12 +692,15 @@ class PermutationStep:
     def param_ops(self):
         return []
 
-    def run_state(self, tensor, matrices):
-        return self._ket.take(tensor, self.source)
+    def block(self, matrices):
+        return self.source
 
-    def run_density(self, tensor, matrices):
-        out = self._ket.take(tensor, self.source)
-        return self._bra.take(out, self.source)
+    def run_state(self, tensor, block):
+        return self._ket.take(tensor, block)
+
+    def run_density(self, tensor, block):
+        out = self._ket.take(tensor, block)
+        return self._bra.take(out, block)
 
 
 @dataclasses.dataclass
@@ -664,14 +731,14 @@ class WireChainStep:
     def param_ops(self):
         return _factor_uses(self.factors)
 
-    def superops(self, matrices: list) -> np.ndarray:
+    def block(self, matrices: list) -> np.ndarray:
         return _compose_factors(self.factors, matrices)
 
-    def run_state(self, tensor, matrices):
+    def run_state(self, tensor, block):
         raise TypeError("noise steps only run on density tensors")
 
-    def run_density(self, tensor, matrices):
-        return self._layout.apply(tensor, self.superops(matrices))
+    def run_density(self, tensor, block):
+        return self._layout.apply(tensor, block)
 
 
 @dataclasses.dataclass
@@ -692,14 +759,17 @@ class KrausStep:
     def param_ops(self):
         return []
 
-    def run_state(self, tensor, matrices):
+    def block(self, matrices):
+        return self.kraus_ops
+
+    def run_state(self, tensor, block):
         raise TypeError("noise steps only run on density tensors")
 
-    def run_density(self, tensor, matrices):
+    def run_density(self, tensor, block):
         if self._restore is not None:
             tensor = tensor.transpose(self._restore)
         return _apply.apply_kraus_to_density_batched(
-            tensor, self.kraus_ops, self.wires
+            tensor, block, self.wires
         )
 
 
@@ -739,6 +809,31 @@ class ExecutionPlan:
         self.param_indices = param_indices
         self._adjoint = None
         self._param_groups = _build_param_groups(steps)
+        # Row keying: each parameterized step owns a contiguous run of
+        # columns in the (B, K) matrix of its ops' stacked angles.
+        self._keyed: list[tuple[int, list[tuple[int, int, int]]]] = []
+        self._key_positions: list[int] = []
+        starts: list[int] = []
+        width = 0
+        for index, step in enumerate(steps):
+            uses = step.param_ops()
+            if not uses:
+                continue
+            starts.append(width)
+            columns = []
+            for use in uses:
+                n_params = _gates.get_gate(use.name).num_params
+                columns.append((use.position, width, width + n_params))
+                width += n_params
+            self._keyed.append((index, columns))
+            self._key_positions.extend(use.position for use in uses)
+        # The same positions as an index array (a faster gather).
+        self._key_index = np.array(self._key_positions, dtype=np.intp)
+        self._key_starts = np.array(starts, dtype=np.intp)
+        self._key_steps = np.repeat(
+            np.arange(len(starts)), np.diff(starts + [width])
+        )
+        self._key_weights = _row_weights(width)
         layout = _Layout((2 * n_qubits if mode == "density" else n_qubits) + 1)
         for step in steps:
             step.finalize(n_qubits, mode, layout)
@@ -748,25 +843,91 @@ class ExecutionPlan:
 
     def run_statevector(self, tensor: np.ndarray, params) -> np.ndarray:
         """Evolve a ``(B,) + (2,)*n`` stacked statevector tensor."""
-        matrices = _prepare_matrices(
-            self._param_groups, self.n_source_ops, params
-        )
-        for step in self.steps:
-            tensor = step.run_state(tensor, matrices)
+        return self._evolve(tensor, params, density=False)
+
+    def run_density(self, tensor: np.ndarray, params) -> np.ndarray:
+        """Evolve a ``(B,) + (2,)*2n`` stacked density tensor."""
+        return self._evolve(tensor, params, density=True)
+
+    def _evolve(self, tensor: np.ndarray, params, density: bool):
+        for step, block in zip(
+            self.steps, self._blocks(params, tensor.shape[0])
+        ):
+            if density:
+                tensor = step.run_density(tensor, block)
+            else:
+                tensor = step.run_state(tensor, block)
         if self._restore is not None:
             tensor = tensor.transpose(self._restore)
         return tensor
 
-    def run_density(self, tensor: np.ndarray, params) -> np.ndarray:
-        """Evolve a ``(B,) + (2,)*2n`` stacked density tensor."""
-        matrices = _prepare_matrices(
-            self._param_groups, self.n_source_ops, params
+    def _op_angles(self, params) -> list[np.ndarray | None]:
+        """Per-position ``(B, num_params)`` angles of parameterized ops."""
+        angles: list[np.ndarray | None] = [None] * self.n_source_ops
+        for position in self._key_positions:
+            angles[position] = params.op_params(position)
+        return angles
+
+    def _blocks(self, params, batch: int) -> list:
+        """Every step's operand for one run of ``batch`` rows.
+
+        Each parameterized step is prepared and composed over its
+        distinct angle rows only, then gathered back to all rows.
+        """
+        angles = self._op_angles(params)
+        inverses = (
+            self._share_rows(params, batch, angles)
+            if batch > 1 and self._keyed
+            else {}
         )
-        for step in self.steps:
-            tensor = step.run_density(tensor, matrices)
-        if self._restore is not None:
-            tensor = tensor.transpose(self._restore)
-        return tensor
+        matrices = _prepare_matrices(self._param_groups, angles)
+        blocks = []
+        for index, step in enumerate(self.steps):
+            block = step.block(matrices)
+            if index in inverses:
+                block = block.take(inverses[index], axis=0)
+            blocks.append(block)
+        return blocks
+
+    def _share_rows(self, params, batch: int, angles: list) -> dict:
+        """Narrow each step with repeated angle rows to its distinct rows.
+
+        Rewrites those steps' entries of ``angles`` in place and returns
+        their inverse gathers, keyed by step index.  ``params`` is a
+        ``CircuitBatch``: the keys come from its ``stacked_params``.
+        """
+        stacked = params.stacked_params(self._key_index)
+        keys = stacked.view(np.uint64)
+        # Row hash per keyed step: its key columns times odd weights,
+        # summed (wrapping) over the step's columns.
+        hashes = np.add.reduceat(
+            keys * self._key_weights, self._key_starts, axis=1
+        )
+        ranked = np.sort(hashes, axis=0)
+        # A step whose rows all repeat the first builds one row (the
+        # trainable-only blocks of a forward batch); distinct hashes
+        # prove distinct rows; only the remaining steps are grouped.
+        uniform = np.logical_and.reduceat(
+            keys == keys[0], self._key_starts, axis=1
+        ).all(axis=0)
+        grouped = (ranked[1:] == ranked[:-1]).any(axis=0) & ~uniform
+        if grouped.any():
+            order, first, inverse = _distinct_rows(
+                keys, hashes, self._key_starts, self._key_steps
+            )
+            grouped &= ~first.all(axis=0)
+        inverses = {}
+        zeros = np.zeros(batch, dtype=np.intp)
+        for k in np.flatnonzero(uniform | grouped):
+            index, columns = self._keyed[k]
+            if uniform[k]:
+                rows, inverses[index] = zeros[:1], zeros
+            else:
+                rows, inverses[index] = order[first[:, k], k], inverse[:, k]
+            distinct = stacked.take(rows, axis=0)
+            for position, start, end in columns:
+                angles[position] = distinct[:, start:end]
+        return inverses
 
     def adjoint(self) -> "AdjointPlan":
         """The plan's backward (reverse-replay) lowering, built lazily.
@@ -1000,7 +1161,7 @@ class _AdjointDiag:
                     .sum(axis=-1)
                 )
                 jacobian[:, :, param_index] += overlaps.imag
-        diags = np.asarray(self._step.diags(matrices)).conj()
+        diags = np.asarray(self._step.block(matrices)).conj()
         if diags.ndim == 2:
             diags = np.tile(diags, (combined.shape[0] // batch, 1))
         return _apply.apply_diag_batched(
@@ -1126,7 +1287,7 @@ class AdjointPlan:
             ``|0>`` up to roundoff).
         """
         matrices = _prepare_matrices(
-            self.plan._param_groups, self.plan.n_source_ops, params
+            self.plan._param_groups, self.plan._op_angles(params)
         )
         for step in self._steps:
             combined = step.run(combined, batch, matrices, jacobian)

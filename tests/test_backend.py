@@ -5,7 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.circuits import QuantumCircuit, get_architecture
+from repro.circuits import (
+    InvalidCircuitError,
+    QuantumCircuit,
+    get_architecture,
+)
 from repro.hardware import (
     IdealBackend,
     Job,
@@ -15,6 +19,7 @@ from repro.hardware import (
     QuantumProvider,
     submit_job,
 )
+from repro.resilience import RetryPolicy
 
 
 def bell_circuit() -> QuantumCircuit:
@@ -332,3 +337,62 @@ class TestProvider:
         fresh = QuantumProvider(seed=0)
         job = fresh.submit("ideal", [bell_circuit()])
         assert job.job_id == "job-000001"
+
+
+def trainable_circuit(theta: float) -> QuantumCircuit:
+    circuit = QuantumCircuit(2, num_parameters=1)
+    circuit.add_trainable("ry", 0, 0)
+    circuit.add("cx", (0, 1))
+    circuit.add("rx", 1, 0.3)
+    return circuit.bound([theta])
+
+
+def _backends():
+    return {
+        "ideal_exact": lambda: IdealBackend(exact=True, seed=3),
+        "ideal_sampled": lambda: IdealBackend(exact=False, seed=3),
+        "noisy": lambda: NoisyBackend.from_device_name("ibmq_lima", seed=3),
+    }
+
+
+class TestNonFiniteAngles:
+    """NaN / inf angles are rejected at ``Backend.run`` with a typed error."""
+
+    @pytest.mark.parametrize("kind", sorted(_backends()))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["theta", "literal"])
+    def test_rejected_before_anything_runs(self, kind, bad, where):
+        backend = _backends()[kind]()
+        good = [trainable_circuit(0.1 * k) for k in range(3)]
+        if where == "theta":
+            poisoned = trainable_circuit(bad)
+        else:
+            poisoned = ry_circuit(bad)
+        for submission in ([poisoned], good + [poisoned]):
+            with pytest.raises(InvalidCircuitError, match="non-finite"):
+                backend.run(submission, shots=64)
+        # Nothing was sampled or metered: the backend continues exactly
+        # where a fresh one with the same seed starts.
+        assert backend.meter.circuits == 0
+        fresh = _backends()[kind]()
+        for a, b in zip(
+            backend.run(good, shots=64), fresh.run(good, shots=64)
+        ):
+            assert a.counts == b.counts
+            assert np.array_equal(a.expectations, b.expectations)
+
+    def test_sequential_backend_checks_too(self):
+        backend = IdealBackend(exact=False, seed=0, batched=False)
+        with pytest.raises(InvalidCircuitError):
+            backend.run([trainable_circuit(0.2), trainable_circuit(np.inf)])
+
+    def test_invalid_circuits_are_not_retryable(self):
+        error = InvalidCircuitError("bad angle")
+        assert isinstance(error, ValueError)
+        assert not RetryPolicy().is_retryable(error)
+
+    def test_structural_validation_raises_the_same_type(self):
+        circuit = QuantumCircuit(1)
+        circuit.add("h", 3)
+        with pytest.raises(InvalidCircuitError, match="out of range"):
+            IdealBackend(exact=True).run([circuit])

@@ -1,6 +1,6 @@
 """Compiled execution plans: fusion, specialization, caching, parity.
 
-The fused layer's contract has three legs:
+The fused layer's contract has four legs:
 
 * fused observed results match the unfused per-gate path within 1e-10
   on every engine (statevector / density, single / batched, logical /
@@ -8,13 +8,17 @@ The fused layer's contract has three legs:
 * ``fused=False`` (and ``REPRO_FUSED=0``) keeps the seed path
   bit-identical — nothing about the unfused kernels changed;
 * plans are compiled once per structure and cached (LRU with hit/miss
-  counters), as is transpilation (fingerprint-keyed).
+  counters), as is transpilation (fingerprint-keyed);
+* preparing each fused block only for its distinct angle rows leaves
+  every row bit-identical to running that circuit as a batch of one.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.circuits import CircuitBatch, QuantumCircuit
 from repro.circuits.layers import build_layered_ansatz
@@ -33,6 +37,8 @@ from repro.sim import (
     compile_circuit,
     fused_enabled,
 )
+from repro.sim import compile as compile_module
+from repro.sim.adjoint import adjoint_expectation_and_jacobian_batch
 from repro.sim.compile import (
     ConstantStep,
     DiagStep,
@@ -417,3 +423,190 @@ class TestFusedCostModel:
         plan = compile_circuit(sweep_circuit())
         text = plan.describe()
         assert "ExecutionPlan" in text and "steps" in text
+
+
+# ---------------------------------------------------------------------------
+# Distinct-row preparation
+# ---------------------------------------------------------------------------
+
+_ROW_KINDS = [
+    "sweep", "pruned", "signed_zero", "duplicates", "uniform", "distinct"
+]
+
+
+def repeating_rows(kind, rng):
+    """A random structure and a batch of its circuits with repeated rows.
+
+    ``sweep`` is two examples plus all their +-pi/2 shifted clones,
+    ``pruned`` a shuffled half of that sweep, ``signed_zero`` thetas
+    drawn from {0.0, -0.0, 1.0} (float-equal, byte-distinct rows),
+    ``duplicates`` whole circuits repeated, ``uniform`` one circuit in
+    every row, ``distinct`` fresh thetas for every row.
+    """
+    n_qubits = int(rng.integers(1, 5))
+    base = random_structure(rng, n_qubits, n_ops=int(rng.integers(4, 20)))
+    n_params = base.num_parameters
+    if kind in ("sweep", "pruned"):
+        rows = []
+        for example in (rebind(base, rng), rebind(base, rng)):
+            rows.append(example)
+            for position in example.trainable_positions():
+                rows.append(example.shifted(position, np.pi / 2))
+                rows.append(example.shifted(position, -np.pi / 2))
+        if kind == "pruned":
+            keep = rng.permutation(len(rows))[: max(1, len(rows) // 2)]
+            rows = [rows[i] for i in keep]
+    elif kind == "signed_zero":
+        rows = [
+            base.bound(rng.choice([0.0, -0.0, 1.0], size=n_params))
+            for _ in range(6)
+        ]
+    elif kind == "duplicates":
+        pool = [rebind(base, rng) for _ in range(3)]
+        rows = [pool[i].copy() for i in rng.integers(0, 3, size=7)]
+    elif kind == "uniform":
+        circuit = rebind(base, rng)
+        rows = [circuit.copy() for _ in range(4)]
+    else:
+        rows = [rebind(base, rng) for _ in range(5)]
+    return base, rows
+
+
+def assert_rows_match_singles(evolve, rows):
+    """Each row of one batched run equals its batch-of-one run, bitwise."""
+    stacked = evolve(rows)
+    for index, row in enumerate(rows):
+        assert stacked[index].tobytes() == evolve([row])[0].tobytes()
+
+
+def assert_blocks_match_singles(plan, rows):
+    """Each parameterized step's operand rows equal their batch of one.
+
+    Stricter than comparing states: a block keeps the sign of a zero
+    that later additions would wash out of the state.
+    """
+    stacked = plan._blocks(CircuitBatch(rows), len(rows))
+    for index, row in enumerate(rows):
+        single = plan._blocks(CircuitBatch([row]), 1)
+        for step, shared, own in zip(plan.steps, stacked, single):
+            if step.param_ops():
+                assert shared[index].tobytes() == own[0].tobytes()
+
+
+class TestDistinctRowPreparation:
+    """Blocks built once per distinct angle row stay bit-identical."""
+
+    @given(seed=st.integers(0, 10_000), kind=st.sampled_from(_ROW_KINDS))
+    @settings(max_examples=30, deadline=None)
+    def test_statevector_rows_match_batch_of_one(self, seed, kind):
+        base, rows = repeating_rows(kind, np.random.default_rng(seed))
+        plan = compile_circuit(base)
+
+        def evolve(circuits):
+            state = BatchedStatevector(base.n_qubits, len(circuits))
+            return state.evolve(CircuitBatch(circuits), plan=plan).tensor
+
+        assert_rows_match_singles(evolve, rows)
+        assert_blocks_match_singles(plan, rows)
+
+    @given(
+        seed=st.integers(0, 10_000),
+        kind=st.sampled_from(_ROW_KINDS),
+        noisy=st.booleans(),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_density_rows_match_batch_of_one(self, seed, kind, noisy):
+        base, rows = repeating_rows(kind, np.random.default_rng(seed))
+        model = NoiseModel(get_calibration("ibmq_santiago")) if noisy else None
+        plan = compile_circuit(base, mode="density", noise_model=model)
+
+        def evolve(circuits):
+            rho = BatchedDensityMatrix(base.n_qubits, len(circuits))
+            return rho.evolve(CircuitBatch(circuits), plan=plan).tensor
+
+        assert_rows_match_singles(evolve, rows)
+        assert_blocks_match_singles(plan, rows)
+
+    @given(seed=st.integers(0, 10_000), kind=st.sampled_from(_ROW_KINDS))
+    @settings(max_examples=20, deadline=None)
+    def test_adjoint_rows_match_batch_of_one(self, seed, kind):
+        base, rows = repeating_rows(kind, np.random.default_rng(seed))
+        plan = compile_circuit(base)
+        values, jacobians = adjoint_expectation_and_jacobian_batch(
+            rows, plan=plan
+        )
+        for index, row in enumerate(rows):
+            value, jacobian = adjoint_expectation_and_jacobian_batch(
+                [row], plan=plan
+            )
+            assert values[index].tobytes() == value[0].tobytes()
+            assert jacobians[index].tobytes() == jacobian[0].tobytes()
+
+    def test_distinct_rows_recovers_every_row(self):
+        # Two keyed steps over columns [0, 1] and [2]; a weak hash
+        # (column sums) collides often, so grouping rests on the
+        # bytewise comparison.
+        rng = np.random.default_rng(7)
+        keys = rng.integers(0, 3, size=(40, 3)).astype(np.uint64)
+        hashes = np.stack([keys[:, 0] + keys[:, 1], keys[:, 2]], axis=1)
+        starts = np.array([0, 2])
+        order, first, inverse = compile_module._distinct_rows(
+            keys, hashes, starts, np.array([0, 0, 1])
+        )
+        for k, columns in enumerate((slice(0, 2), slice(2, 3))):
+            step_keys = keys[:, columns]
+            rows = order[first[:, k], k]
+            assert np.array_equal(step_keys[rows][inverse[:, k]], step_keys)
+            # A collision may split equal keys over two runs; it never
+            # merges unequal ones.
+            assert len(rows) >= len({tuple(r) for r in step_keys.tolist()})
+
+    def test_hash_collisions_cost_sharing_not_correctness(self):
+        # Zero weights hash every row alike: grouping then rests on the
+        # bytewise neighbour comparison alone.
+        base, rows = repeating_rows("sweep", np.random.default_rng(11))
+        plan = compile_circuit(base)
+        plan._key_weights = np.zeros_like(plan._key_weights)
+
+        def evolve(circuits):
+            state = BatchedStatevector(base.n_qubits, len(circuits))
+            return state.evolve(CircuitBatch(circuits), plan=plan).tensor
+
+        assert_rows_match_singles(evolve, rows)
+
+    def test_sweep_shares_blocks_and_distinct_batch_skips_keying(
+        self, monkeypatch
+    ):
+        shared = []
+        original = compile_module._distinct_rows
+
+        def counting(keys, hashes, starts, column_steps):
+            order, first, inverse = original(
+                keys, hashes, starts, column_steps
+            )
+            shared.append(first.sum(axis=0).tolist())
+            return order, first, inverse
+
+        monkeypatch.setattr(compile_module, "_distinct_rows", counting)
+        circuit = sweep_circuit()
+        plan = compile_circuit(circuit)
+        clones = [circuit] + [
+            circuit.shifted(position, sign * np.pi / 2)
+            for position in circuit.trainable_positions()
+            for sign in (1, -1)
+        ]
+        BatchedStatevector(4, len(clones)).evolve(
+            CircuitBatch(clones), plan=plan
+        )
+        # Every step holds only some of the shifted gates, so every
+        # step prepares fewer rows than the batch holds.
+        (distinct,) = shared
+        assert max(distinct) < len(clones)
+        shared.clear()
+        # Fresh encoder angles and thetas in every row: no hash repeats,
+        # so the rows are never grouped.
+        fresh = [sweep_circuit(seed=seed) for seed in range(6)]
+        BatchedStatevector(4, len(fresh)).evolve(
+            CircuitBatch(fresh), plan=plan
+        )
+        assert shared == []

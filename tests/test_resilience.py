@@ -17,7 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.circuits import QuantumCircuit
+from repro.circuits import InvalidCircuitError, QuantumCircuit
 from repro.hardware import IdealBackend
 from repro.hardware.job import JobError
 from repro.parallel.shard import Shard, shard_timeout_s
@@ -604,6 +604,19 @@ class TestServingResilience:
         assert stats["scheduler"]["bisections"] >= 1
         assert stats["scheduler"]["flush_failures"] == 1
         assert service.pending_circuits == 0  # nothing leaked
+
+    def test_non_finite_angle_is_rejected_at_submit(self):
+        with ExecutionService(IdealBackend(exact=True), workers=0) as service:
+            with pytest.raises(JobError) as excinfo:
+                service.submit([ry_circuit(float("nan"))], shots=0)
+            (result,) = service.submit([ry_circuit(0.2)], shots=0).result(
+                timeout=30
+            )
+            stats = service.stats()
+        assert isinstance(excinfo.value.__cause__, InvalidCircuitError)
+        assert np.isfinite(result.expectations).all()
+        assert stats["scheduler"]["flushes"] == 1
+        assert service.pending_circuits == 0
 
     def test_injected_flush_fault_is_retried_transparently(self):
         plan = FaultPlan(
